@@ -1,12 +1,12 @@
 """Deterministic graph constructors: the Jahangir family and a test corpus."""
 
+import math
 import random
-from collections import deque
 from fractions import Fraction
 
 from .distances import Orbit, OrbitSpec
 from .errors import InvalidParameterError
-from .graph import Graph
+from .graph import Graph, _reach
 
 
 def jahangir(n: int, m: int) -> Graph:
@@ -83,12 +83,13 @@ def random_connected(k: int, edge_probability, seed: int) -> Graph:
     p = Fraction(edge_probability)
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge_probability must be in (0, 1], got {p}")
+    threshold = _draw_threshold(p)
     rng = random.Random(seed)
     adjacency: list[list[int]] = [[] for _ in range(k)]
     edges = []
     for u in range(k):
         for v in range(u + 1, k):
-            if rng.random() < p:
+            if rng.random() < threshold:
                 edges.append((u, v))
                 adjacency[u].append(v)
                 adjacency[v].append(u)
@@ -96,6 +97,15 @@ def random_connected(k: int, edge_probability, seed: int) -> Graph:
     for a, b in zip(components, components[1:]):
         edges.append((a[0], b[0]))
     return Graph(k, edges)
+
+
+def _draw_threshold(p: Fraction) -> float:
+    """The float t with `x < t` iff `x < p` for every `random()` draw x.
+
+    Each draw is j / 2**53 for an integer j, and j < p * 2**53 iff
+    j < ceil(p * 2**53); both sides of the division below are exact floats.
+    """
+    return math.ceil(p * 2**53) / 2**53
 
 
 def rotation_orbits(n: int, m: int) -> OrbitSpec:
@@ -120,22 +130,5 @@ def _check_jahangir_params(n: int, m: int) -> None:
 
 def _components(adjacency: list[list[int]]) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    n = len(adjacency)
-    seen = bytearray(n)
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        queue = deque([start])
-        component = [start]
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    component.append(w)
-                    queue.append(w)
-        component.sort()
-        components.append(component)
-    return components
+    seen = bytearray(len(adjacency))
+    return [sorted(_reach(adjacency, start, seen)) for start in range(len(adjacency)) if not seen[start]]

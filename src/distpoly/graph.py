@@ -6,7 +6,6 @@ identity 2*edge_count == sum of degrees. Instances are immutable and safe to
 share across threads.
 """
 
-from collections import deque
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -85,21 +84,7 @@ class Graph:
         Graphs with fewer than two vertices are connected by convention.
         """
         n = self._vertex_count
-        if n <= 1:
-            return True
-        visited = bytearray(n)
-        visited[0] = 1
-        queue = deque([0])
-        reached = 1
-        adjacency = self._adjacency
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if not visited[w]:
-                    visited[w] = 1
-                    reached += 1
-                    queue.append(w)
-        return reached == n
+        return n <= 1 or len(_reach(self._adjacency, 0, bytearray(n))) == n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -114,6 +99,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self._vertex_count}, edges={self._edge_count})"
+
+
+def _reach(adjacency, start: int, seen: bytearray) -> list[int]:
+    """Vertices reachable from `start` that are not yet marked in `seen`, in
+    BFS order; marks each one. `start` itself must be unmarked."""
+    seen[start] = 1
+    reached = [start]
+    for u in reached:  # the list grows while it is walked, in BFS order
+        for w in adjacency[u]:
+            if not seen[w]:
+                seen[w] = 1
+                reached.append(w)
+    return reached
 
 
 def format_edge_list(g: Graph) -> str:

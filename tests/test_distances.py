@@ -2,11 +2,15 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distpoly.distances import (
     DistanceDistribution,
     Orbit,
     OrbitSpec,
+    _halve_ordered,
+    _msbfs,
+    _per_source,
     bfs_distances,
     diameter,
     distance_distribution,
@@ -16,7 +20,7 @@ from distpoly.errors import DisconnectedError, MalformedOrbitsError
 from distpoly.generators import complete, cycle, jahangir, path, rotation_orbits, star
 from distpoly.graph import Graph
 
-from _oracle import oracle_counts
+from _oracle import INF, floyd_warshall, oracle_counts
 from _strategies import connected_graphs, graphs
 
 
@@ -198,3 +202,96 @@ def test_distance_distribution_rejects_malformed_counts():
         DistanceDistribution((0, 2, 0))
     with pytest.raises(ValueError):
         DistanceDistribution(())
+
+
+# -- the two engine paths: per-source BFS and multi-source BFS -----------------
+
+
+@st.composite
+def weighted_sources(draw, max_vertices: int = 14):
+    """A connected graph plus a non-empty list of distinct sources with weights."""
+    g = draw(connected_graphs(max_vertices=max_vertices))
+    n = g.vertex_count
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(sources), max_size=len(sources)))
+    return g, sources, weights
+
+
+@settings(deadline=None)
+@given(connected_graphs(max_vertices=14))
+def test_both_engine_paths_match_oracle(g):
+    n = g.vertex_count
+    oracle = oracle_counts(g)
+    for engine in (_per_source, _msbfs):
+        assert list(_halve_ordered(engine(g.adjacency, range(n), [1] * n)).counts) == oracle
+
+
+@settings(deadline=None)
+@given(weighted_sources())
+def test_both_engine_paths_agree_on_weighted_sources(case):
+    g, sources, weights = case
+    dist = floyd_warshall(g)
+    expected = [0] * g.vertex_count
+    for source, weight in zip(sources, weights):
+        for d in dist[source]:
+            if d:
+                expected[int(d)] += weight
+    assert _per_source(g.adjacency, sources, weights) == expected
+    assert _msbfs(g.adjacency, sources, weights) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("m", (3, 4, 7, 12))
+def test_both_engine_paths_agree_on_rotation_orbits(n, m):
+    g = jahangir(n, m)
+    spec = rotation_orbits(n, m)
+    sources = [orbit.representative for orbit in spec.orbits]
+    weights = [orbit.size for orbit in spec.orbits]
+    per_source = _per_source(g.adjacency, sources, weights)
+    assert _msbfs(g.adjacency, sources, weights) == per_source
+    assert _halve_ordered(per_source) == distance_distribution(g)
+
+
+def test_msbfs_path_rejects_partition_that_is_not_automorphism_induced():
+    g = jahangir(5, 3)
+    # Same partition as test_orbit_partition_that_is_not_automorphism_induced.
+    sources, weights = [0, 2, 4, 15], [6, 6, 3, 1]
+    with pytest.raises(MalformedOrbitsError):
+        _halve_ordered(_msbfs(g.adjacency, sources, weights), orbit_checked=True)
+
+
+@settings(deadline=None)
+@given(weighted_sources(), st.lists(st.integers(1, 13), max_size=4))
+def test_block_split_msbfs_sums_to_full_width(case, cuts):
+    g, sources, weights = case
+    bounds = sorted({0, len(sources), *(c for c in cuts if c < len(sources))})
+    parts = [
+        _msbfs(g.adjacency, sources[lo:hi], weights[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+    ]
+    assert [sum(column) for column in zip(*parts)] == _msbfs(g.adjacency, sources, weights)
+
+
+def test_distribution_wider_than_one_msbfs_block():
+    """5001 sources at eccentricity 2 take the multi-source path in two blocks."""
+    k = 5000
+    assert distance_distribution(star(k)).counts == (0, k, k * (k - 1) // 2)
+
+
+@settings(deadline=None)
+@given(graphs(min_vertices=2, max_vertices=14))
+def test_disconnected_error_names_smallest_vertex_unreached_from_first_source(g):
+    unreached = [v for v, d in enumerate(floyd_warshall(g)[0]) if d == INF]
+    if not unreached:
+        return
+    message = f"graph is disconnected: vertex {unreached[0]} unreachable"
+    with pytest.raises(DisconnectedError, match=f"^{message}$"):
+        distance_distribution(g)
+    spec = OrbitSpec(tuple(Orbit(v, 1, (v,)) for v in range(g.vertex_count)))
+    with pytest.raises(DisconnectedError, match=f"^{message}$"):
+        orbit_distance_distribution(g, spec)
+
+
+def test_disconnected_error_on_graph_that_would_take_msbfs_path():
+    g = Graph(41, [(u, v) for u in range(40) for v in range(u + 1, 40)])
+    with pytest.raises(DisconnectedError, match="^graph is disconnected: vertex 40 unreachable$"):
+        distance_distribution(g)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 
 from distpoly.errors import InvalidParameterError
 from distpoly.generators import (
+    _components,
+    _draw_threshold,
     complete,
     cycle,
     jahangir,
@@ -15,6 +19,9 @@ from distpoly.generators import (
     star,
     wheel,
 )
+
+from _oracle import INF, floyd_warshall
+from _strategies import graphs
 
 # J(5,3) written out by hand from the definition: a 15-cycle 0..14 plus a
 # center (id 15) joined to cycle vertices 0, 5, 10.
@@ -163,6 +170,90 @@ def test_random_connected_is_always_connected(k, num, seed):
     g = random_connected(k, Fraction(num, 10), seed)
     assert g.vertex_count == k
     assert g.is_connected()
+
+
+def _reference_random_connected(k, p, seed):
+    """random_connected's documented procedure, with every draw compared
+    against the rational p."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k) if Fraction(rng.random()) < p]
+    component = list(range(k))  # smallest member of each vertex's component
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            low = min(component[u], component[v])
+            if component[u] != low or component[v] != low:
+                component[u] = component[v] = low
+                changed = True
+    roots = sorted(set(component))
+    return sorted(edges + list(zip(roots, roots[1:])))
+
+
+_DYADIC = 2**53
+_TINY = Fraction(1, 2**80)
+#: p = 1, 1/3, 1/10**9, the extreme dyadics, and each side of dyadics j/2**53:
+#: one float ulp away, and far less than one ulp away.
+_BOUNDARY_PROBABILITIES = [
+    Fraction(1), Fraction(1, 3), Fraction(1, 10**9), Fraction(1, _DYADIC), Fraction(_DYADIC - 1, _DYADIC),
+] + [
+    q
+    for j in (1, 3, 2**40 + 1, 2**52 + 5, _DYADIC - 2)
+    for q in (
+        Fraction(math.nextafter(j / _DYADIC, 0)),
+        Fraction(math.nextafter(j / _DYADIC, 1)),
+        Fraction(j, _DYADIC) - _TINY,
+        Fraction(j, _DYADIC) + _TINY,
+    )
+]
+
+
+def _assert_threshold_exact(p):
+    threshold = _draw_threshold(p)
+    c = math.ceil(p * _DYADIC)
+    for j in {0, 1, c - 2, c - 1, c, c + 1, _DYADIC - 1}:
+        if 0 <= j < _DYADIC:
+            assert (j / _DYADIC < threshold) == (Fraction(j, _DYADIC) < p), (p, j)
+
+
+@pytest.mark.parametrize("p", _BOUNDARY_PROBABILITIES)
+def test_draw_threshold_at_boundary_probabilities(p):
+    _assert_threshold_exact(p)
+
+
+@given(st.fractions(min_value=Fraction(1, 10**12), max_value=1))
+def test_draw_threshold_is_exact(p):
+    _assert_threshold_exact(p)
+
+
+@pytest.mark.parametrize(
+    "k,p,seed",
+    [(1, Fraction(1, 2), 0), (5, 1, 7), (40, Fraction(1, 3), 11), (60, Fraction(1, 10**9), 3),
+     (90, Fraction(1, 50), 2**32 - 1), (120, Fraction(7, 10), 5)],
+)
+def test_random_connected_matches_fraction_reference(k, p, seed):
+    assert list(random_connected(k, p, seed).edges()) == _reference_random_connected(k, p, seed)
+
+
+@settings(deadline=None)
+@given(
+    k=st.integers(1, 40),
+    p=st.fractions(min_value=Fraction(1, 1000), max_value=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_connected_matches_fraction_reference_property(k, p, seed):
+    assert list(random_connected(k, p, seed).edges()) == _reference_random_connected(k, p, seed)
+
+
+@given(graphs())
+def test_components_match_oracle_reachability(g):
+    dist = floyd_warshall(g)
+    expected = []
+    for v in range(g.vertex_count):
+        if not any(v in component for component in expected):
+            expected.append([w for w in range(g.vertex_count) if dist[v][w] != INF])
+    assert _components([list(nbrs) for nbrs in g.adjacency]) == expected
+    assert g.is_connected() == (len(expected) <= 1)
 
 
 # -- rotation_orbits ----------------------------------------------------------
